@@ -419,10 +419,14 @@ def cli_main(argv) -> int:
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (PreconditionError, MismatchError, ZeroCodeError, TooLargeError, ValueError) as exc:
+    except (PreconditionError, MismatchError, ZeroCodeError, TooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None):
     sys.exit(cli_main(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

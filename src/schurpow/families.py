@@ -179,16 +179,16 @@ def from_spec(spec: str) -> LinearCode:
             continue
         key, _, val = item.partition("=")
         params[key.strip()] = val.strip()
+    if kind != "partition" and kind not in _KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    names = ("q", "n", "blocks") if kind == "partition" else _KINDS[kind][1]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise PreconditionError(f"family {kind!r} needs parameter {missing[0]!r}")
     if kind == "partition":
         blocks = [
             [int(x) for x in blk.split(".")] for blk in params["blocks"].split("|")
         ]
         return partition_code(int(params["q"]), int(params["n"]), blocks)
-    if kind not in _KINDS:
-        raise ValueError(f"unknown family kind {kind!r}")
     fn, names = _KINDS[kind]
-    try:
-        args = [int(params[name]) for name in names]
-    except KeyError as exc:
-        raise ValueError(f"family {kind!r} needs parameter {exc}") from None
-    return fn(*args)
+    return fn(*[int(params[name]) for name in names])

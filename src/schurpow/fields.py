@@ -5,10 +5,20 @@ Elements are packed integers: the element with polynomial coefficients
 as ``sum(c_i * p**i)``.  This packed integer is also the wire and file
 representation.
 
-A :class:`FieldSpec` carries the modulus polynomial and, for q <= 2**16,
-precomputed log/antilog tables so that all arithmetic is table lookups and
-vectorizes over numpy arrays.  Specs and tables are immutable after
-construction; all operations are pure.
+A :class:`FieldSpec` carries the modulus polynomial and one of three
+representations of the arithmetic, chosen by the field size q:
+
+- q <= 256: q x q pair tables.  ``mul`` (every p) and, for odd p, ``add``
+  and ``sub`` are one lookup each; ``neg`` looks up row 0 of the ``sub``
+  table.  In characteristic 2, ``add``, ``sub`` and ``neg`` are XOR.
+- q <= 2**16: log/antilog tables for ``mul``; for odd p with e > 1,
+  ``add``, ``sub`` and ``neg`` work digit-wise on the base-p coefficients.
+- q > 2**16: schoolbook polynomial arithmetic, element by element.
+
+Every path vectorizes over numpy int64 arrays.  The pair tables return a
+Python ``int`` for scalar operands, and an operand >= q raises
+``IndexError`` there rather than landing on another table entry.  Specs and
+tables are immutable after construction; all operations are pure.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from . import linalg
 from .errors import NotABasisError, SpecMismatchError
 
 _TABLE_LIMIT = 1 << 16
+_PAIR_LIMIT = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -232,6 +243,7 @@ class FieldSpec:
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
         self._has_tables = self.q <= _TABLE_LIMIT
+        self._has_pairs = self.q <= _PAIR_LIMIT
         if self._has_tables:
             self._build_tables()
 
@@ -306,6 +318,14 @@ class FieldSpec:
         inv = np.zeros(q, dtype=np.int64)
         inv[exp] = exp[(-(log[exp])) % (q - 1)]
         self._inv = inv
+        if self._has_pairs:
+            mul = self._exp2[log[:, None] + log[None, :]]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            self._mul_t = mul
+            if p != 2:
+                self._add_t = ((digs[:, None, :] + digs[None, :, :]) % p) @ self._pw
+                self._sub_t = ((digs[:, None, :] - digs[None, :, :]) % p) @ self._pw
 
     # -- identity ----------------------------------------------------------
 
@@ -358,9 +378,22 @@ class FieldSpec:
             acc = acc // self.p
         return out
 
+    @staticmethod
+    def _lookup(table, a, b):
+        """``table[a, b]`` for a q x q pair table, on scalars or arrays.
+
+        Indexing in two dimensions makes an operand >= q raise IndexError;
+        a flat ``a*q + b`` index would alias it to another entry.
+        """
+        if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+            return table.item(a, b)
+        return table[a, b]
+
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
+        if self._has_pairs:
+            return self._lookup(self._add_t, a, b)
         if self.e == 1:
             return (a + b) % self.p
         scalar = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
@@ -374,6 +407,8 @@ class FieldSpec:
     def neg(self, a):
         if self.p == 2:
             return a ^ 0
+        if self._has_pairs:
+            return self._lookup(self._sub_t, 0, a)
         if self.e == 1:
             return (-a) % self.p
         scalar = isinstance(a, (int, np.integer))
@@ -386,11 +421,15 @@ class FieldSpec:
     def sub(self, a, b):
         if self.p == 2:
             return a ^ b
+        if self._has_pairs:
+            return self._lookup(self._sub_t, a, b)
         if self.e == 1:
             return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if self._has_pairs:
+            return self._lookup(self._mul_t, a, b)
         if self.e == 1:
             return (a * b) % self.p
         scalar = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))

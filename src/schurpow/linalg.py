@@ -35,23 +35,22 @@ def rref(F, m):
     for col in range(ncols):
         if row >= nrows:
             break
-        pr = None
-        for i in range(row, nrows):
-            if r[i, col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != row:
+        if r[row, col] == 0:
+            nz = np.flatnonzero(r[row:, col])
+            if nz.size == 0:
+                continue
+            pr = row + int(nz[0])
             r[[row, pr]] = r[[pr, row]]
+        # Columns left of col are zero in the pivot row, so only the
+        # columns from col on change.
         piv = int(r[row, col])
         if piv != 1:
-            r[row] = F.mul(F.inv(piv), r[row])
+            r[row, col:] = F.mul(F.inv(piv), r[row, col:])
         coefs = r[:, col].copy()
         coefs[row] = 0
         mask = coefs != 0
         if mask.any():
-            r[mask] = F.sub(r[mask], F.mul(coefs[mask, None], r[row][None, :]))
+            r[mask, col:] = F.sub(r[mask, col:], F.mul(coefs[mask, None], r[row, col:][None, :]))
         pivots.append(col)
         row += 1
     return r, tuple(pivots)

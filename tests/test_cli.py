@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import schurpow
 from schurpow import fileio
 from schurpow.cli import cli_main
 from schurpow.codes import LinearCode
@@ -244,3 +248,29 @@ def test_trace_descent_cli(capsys, tmp_path):
     assert code == 0
     D = fileio.code_from_text(out)
     assert D.field == GF(2) and D.n == 4
+
+
+def test_missing_input_file_exit_2(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.code"
+    code, _, err = run_cli(capsys, "seq", "--in", str(missing), "--t", "2")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "nonexistent.code" in err
+
+
+def test_partition_missing_blocks_exit_2(capsys):
+    code, _, err = run_cli(capsys, "seq", "--family", "partition:q=2,n=3", "--t", "2")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "'blocks'" in err
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schurpow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurpow.cli", "waring", "--t", "3", "--q", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 3

@@ -243,3 +243,62 @@ def test_neg_does_not_alias_input():
     w = F.neg(v)
     w[0] = 0
     assert v[0] == 1
+
+
+# Every field small enough for q x q pair tables: each extension field under
+# its default modulus, GF(8) under its other modulus x^3 + x^2 + 1, and a few
+# prime fields up to the largest prime below the 256 limit.
+PAIR_TABLE_FIELDS = (
+    [(p, e, None) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 9) if p**e <= 256]
+    + [(2, 3, (1, 0, 1, 1))]
+    + [(p, 1, None) for p in (2, 3, 5, 7, 251)]
+)
+
+
+@pytest.mark.parametrize("p,e,modulus", PAIR_TABLE_FIELDS)
+def test_pair_tables_match_polynomial_arithmetic(p, e, modulus):
+    # References: schoolbook _mul_raw for mul, and digit-wise arithmetic on
+    # coeffs / from_coeffs for add, sub and neg; never the tables themselves.
+    F = GF(p, e, modulus)
+    q = F.q
+    digits = [F.coeffs(x) for x in range(q)]
+    ref_add = np.array(
+        [[F.from_coeffs([x + y for x, y in zip(ca, cb)]) for cb in digits] for ca in digits]
+    )
+    ref_sub = np.array(
+        [[F.from_coeffs([x - y for x, y in zip(ca, cb)]) for cb in digits] for ca in digits]
+    )
+    ref_neg = np.array([F.from_coeffs([-x for x in ca]) for ca in digits])
+    ref_mul = np.array([[F._mul_raw(a, b) for b in range(q)] for a in range(q)])
+
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    for got, want in (
+        (F.add(a, b), ref_add),
+        (F.sub(a, b), ref_sub),
+        (F.mul(a, b), ref_mul),
+        (F.neg(np.arange(q)), ref_neg),
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    rng = np.random.default_rng(q)
+    for x, y in rng.integers(0, q, (64, 2)).tolist():
+        for op, ref in ((F.add, ref_add), (F.sub, ref_sub), (F.mul, ref_mul)):
+            v = op(x, y)
+            assert type(v) is int and v == ref[x, y]
+        v = F.neg(x)
+        assert type(v) is int and v == ref_neg[x]
+
+    # An operand equal to q must raise, never alias another table entry.
+    # In characteristic 2, add, sub and neg are XOR and need no table.
+    for op in [F.mul] if p == 2 else [F.mul, F.add, F.sub]:
+        for x, y in ((q, 0), (0, q), (1, q)):
+            with pytest.raises(IndexError):
+                op(x, y)
+            with pytest.raises(IndexError):
+                op(np.array([x]), np.array([y]))
+    if p != 2:
+        with pytest.raises(IndexError):
+            F.neg(q)
+        with pytest.raises(IndexError):
+            F.neg(np.array([0, q]))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurpow import linalg
 from schurpow.fields import GF
@@ -158,3 +160,79 @@ def test_dim_formula_random(q):
         ds = linalg.rank(F, linalg.rowspace_sum(F, a, b))
         di = linalg.rowspace_intersect(F, a, b).shape[0]
         assert da + db == ds + di
+
+
+# ---------------------------------------------------------------------------
+# Property tests: derandomized, so every run draws the same examples.
+# ---------------------------------------------------------------------------
+
+PROPERTY_FIELDS = [GF(2), GF(3), GF(3, 2), GF(2, 4), GF(3, 3), GF(7, 2)]
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def _matrix(draw, F, rows, cols):
+    """A rows x cols matrix, with some columns zeroed and optionally low rank."""
+    m = np.array(
+        draw(st.lists(st.integers(0, F.q - 1), min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.int64,
+    ).reshape(rows, cols)
+    if rows and cols and draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        m = linalg.matmul(F, m[:, :inner], m[:inner, :])
+    m[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols, unique=True))] = 0
+    return m
+
+
+@st.composite
+def field_and_matrix(draw):
+    """Wide, square and tall shapes (up to 16 rows over 8 columns)."""
+    F = draw(st.sampled_from(PROPERTY_FIELDS))
+    rows, cols = draw(st.integers(0, 16)), draw(st.integers(1, 8))
+    return F, draw(_matrix(F, rows, cols))
+
+
+@st.composite
+def field_and_two_spaces(draw):
+    """Two row spaces of F^n built around a shared part, so they can meet."""
+    F = draw(st.sampled_from(PROPERTY_FIELDS))
+    n = draw(st.integers(1, 7))
+    shared = draw(_matrix(F, draw(st.integers(0, 3)), n))
+    a = np.concatenate([shared, draw(_matrix(F, draw(st.integers(0, 4)), n))])
+    b = np.concatenate([shared, draw(_matrix(F, draw(st.integers(0, 4)), n))])
+    return F, a, b
+
+
+@PROPERTY_SETTINGS
+@given(field_and_matrix())
+def test_property_rank_nullity_and_kernel(fm):
+    F, m = fm
+    k = linalg.kernel(F, m)
+    assert linalg.rank(F, m) + linalg.rank(F, k) == m.shape[1]
+    assert not linalg.matmul(F, m, k.T).any()
+
+
+@PROPERTY_SETTINGS
+@given(field_and_matrix())
+def test_property_rref_shape(fm):
+    F, m = fm
+    r, piv = linalg.rref(F, m)
+    assert r.shape == m.shape and r.dtype == np.int64
+    assert all(a < b for a, b in zip(piv, piv[1:]))
+    for i, c in enumerate(piv):
+        assert r[i, c] == 1
+        assert np.count_nonzero(r[:, c]) == 1
+    assert not r[len(piv):].any()
+    # same row space: every input row reduces to zero against the result
+    assert not linalg.reduce_rows(F, r, piv, m).any()
+    assert linalg.rref(F, r)[1] == piv
+    assert np.array_equal(linalg.rref(F, r)[0], r)
+
+
+@PROPERTY_SETTINGS
+@given(field_and_two_spaces())
+def test_property_sum_intersection_dimensions(fab):
+    F, a, b = fab
+    ds = linalg.rank(F, linalg.rowspace_sum(F, a, b))
+    di = linalg.rowspace_intersect(F, a, b).shape[0]
+    assert ds + di == linalg.rank(F, a) + linalg.rank(F, b)
