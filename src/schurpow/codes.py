@@ -85,6 +85,69 @@ def message_blocks(q: int, k: int, budget: int = DEFAULT_WORD_BUDGET, chunk: int
         yield (idx[:, None] // pows[None, :]) % q
 
 
+def _span_table(F: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """All F-combinations of ``rows``, in packed order (row 0 varies fastest)."""
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        if F.q == 2:  # the multiples are 0 and the row: bit-packed rows never reach F.mul
+            table = np.concatenate([table, F.add(table, row)])
+        else:
+            mults = F.mul(np.arange(F.q)[:, None], row[None, :])
+            table = F.add(mults[:, None, :], table[None, :, :]).reshape(-1, rows.shape[1])
+    return table
+
+
+def word_blocks(F: FieldSpec, G: np.ndarray, budget: int = DEFAULT_WORD_BUDGET, chunk: int = 1 << 14):
+    """Yield all q^k words m @ G as (N, n) arrays of at most ``chunk`` rows.
+
+    Words come in packed message order, the order of :func:`message_blocks`.
+    Meet in the middle: the combinations of the first ``lo`` rows, with
+    q^lo <= chunk, are tabulated once, and each block adds one combination
+    of the other rows to that table, one field addition per entry.  Those
+    combinations are enumerated by the same generator, so no table ever
+    holds more than ``chunk`` rows.  Any array whose rows ``F.add`` sums
+    works as ``G``: over GF(2) that includes bit-packed rows.
+    """
+    q, k = F.q, G.shape[0]
+    if q**k > budget:
+        raise TooLargeError(f"{q**k} messages exceed budget {budget}")
+    lo = 0
+    while lo < k and q ** (lo + 1) <= chunk:
+        lo += 1
+    if lo == 0 and k:
+        # q > chunk: the multiples of row 0 alone fill several blocks
+        for high in word_blocks(F, G[1:], budget, chunk):
+            for h in high:
+                for start in range(0, q, chunk):
+                    c = np.arange(start, min(start + chunk, q), dtype=np.int64)
+                    yield F.add(F.mul(c[:, None], G[0][None, :]), h)
+        return
+    low = _span_table(F, G[:lo])
+    if lo == k:
+        yield low
+        return
+    for high in word_blocks(F, G[lo:], budget, chunk):
+        for h in high:
+            yield F.add(low, h)
+
+
+def weight_blocks(F: FieldSpec, G: np.ndarray, budget: int = DEFAULT_WORD_BUDGET):
+    """Yield the Hamming weights of the words of :func:`word_blocks`, block by block.
+
+    Over GF(2) each row is bit-packed into uint64 words, where XOR is the
+    field addition, and a weight is a popcount.
+    """
+    if F.q == 2:
+        bits = np.zeros((G.shape[0], -(-G.shape[1] // 64) * 64), dtype=np.uint8)
+        bits[:, : G.shape[1]] = G
+        packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        for block in word_blocks(F, packed, budget):
+            yield np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+    else:
+        for block in word_blocks(F, G, budget):
+            yield np.count_nonzero(block, axis=1)
+
+
 class LinearCode:
     """A linear code, canonically represented by its rref generator matrix."""
 
@@ -154,24 +217,21 @@ class LinearCode:
 
     def words(self, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
         """All codewords, message-major; exact but budget-guarded."""
-        out = [linalg.matmul(self.field, m, self.G) for m in message_blocks(self.field.q, self.k, budget)]
-        return np.concatenate(out, axis=0) if out else np.zeros((1, self.n), dtype=np.int64)
+        return np.concatenate(list(word_blocks(self.field, self.G, budget)))
 
     def projective_words(self) -> np.ndarray:
         """One representative per 1-dimensional subspace (first nonzero msg digit 1)."""
-        reps = []
-        for block in message_blocks(self.field.q, self.k):
-            mask = np.zeros(block.shape[0], dtype=bool)
-            lead = np.full(block.shape[0], -1, dtype=np.int64)
-            for i in range(self.k - 1, -1, -1):
-                lead = np.where(block[:, i] != 0, i, lead)
-            for i in range(self.k):
-                mask |= (lead == i) & (block[:, i] == 1)
-            if mask.any():
-                reps.append(linalg.matmul(self.field, block[mask], self.G))
-        if not reps:
+        q, k = self.field.q, self.k
+        if k == 0:
             return np.zeros((0, self.n), dtype=np.int64)
-        return np.concatenate(reps, axis=0)
+        pows = q ** np.arange(k, dtype=np.int64)
+        reps, start = [], 0
+        for words in word_blocks(self.field, self.G):
+            digits = (np.arange(start, start + len(words))[:, None] // pows) % q
+            start += len(words)
+            lead = digits[np.arange(len(words)), np.argmax(digits != 0, axis=1)]
+            reps.append(words[lead == 1])
+        return np.concatenate(reps)
 
     # -- duality and products -------------------------------------------------
 
@@ -411,9 +471,7 @@ class LinearCode:
             return c
         # exhaustive fallback; codeword supports never leave Supp(C)
         if big.q**self.k <= budget:
-            Cbig = self.extend_scalars(emb)
-            for block in message_blocks(big.q, self.k):
-                words = linalg.matmul(big, block, Cbig.G)
+            for words in word_blocks(big, rows, budget):
                 hits = np.nonzero(np.all(words[:, sorted(supp)] != 0, axis=1))[0]
                 if len(hits):
                     return words[hits[0]]

@@ -78,14 +78,17 @@ def _parse_code_block(blk: _Block) -> LinearCode:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ParseError("expected 'n k'", blk.filename, lineno)
     n, k = int(parts[0]), int(parts[1])
-    rows = np.zeros((k, n), dtype=np.int64)
-    for i in range(k):
+    # rows are collected as the lines are read, so the size line alone
+    # never allocates anything
+    rows = []
+    for _ in range(k):
         lineno, line = blk.next_content_line()
         if line is None:
             raise ParseError(f"expected {k} generator rows", blk.filename, len(blk.lines) + 1)
         toks = line.split()
         if len(toks) != n:
             raise ParseError(f"expected {n} entries, got {len(toks)}", blk.filename, lineno)
+        row = []
         for j, tok in enumerate(toks):
             try:
                 v = int(tok)
@@ -93,8 +96,9 @@ def _parse_code_block(blk: _Block) -> LinearCode:
                 raise ParseError(f"bad entry {tok!r}", blk.filename, lineno, _token_col(line, j)) from None
             if not 0 <= v < F.q:
                 raise ParseError(f"entry {v} out of range for GF({F.q})", blk.filename, lineno, _token_col(line, j))
-            rows[i, j] = v
-    return LinearCode(F, n, rows)
+            row.append(v)
+        rows.append(row)
+    return LinearCode(F, n, np.array(rows, dtype=np.int64).reshape(k, n))
 
 
 def code_from_text(text: str, filename: str = "<string>") -> LinearCode:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import BoundReport
-from .codes import LinearCode, message_blocks
+from .codes import LinearCode
 from .errors import MismatchError, PreconditionError, TooLargeError
 from .fields import FieldSpec, _is_prime
 

@@ -1,9 +1,16 @@
 """Exhaustive-but-bounded weight metrics for linear codes.
 
-Everything here is exact: minimum distances come from full codeword
-enumeration (chunked and vectorized, with an explicit budget), the weight
+Everything here is exact: minimum distances and weight distributions come
+from full codeword enumeration with an explicit budget, the weight
 hierarchy from support-subset search, and rank-constrained distances from
 enumeration of low-rank elements of a product structure.
+
+Codewords are enumerated by :func:`codes.word_blocks`, a meet-in-the-middle
+enumerator: it tabulates the combinations of the first generator rows once,
+up to one block of words, and builds every block from that table with one
+field addition per entry.  Over GF(2) :func:`codes.weight_blocks` runs the
+same enumeration on rows bit-packed into uint64 words, where the addition
+is an XOR and a weight is a popcount.
 """
 
 from __future__ import annotations
@@ -14,15 +21,14 @@ import math
 import numpy as np
 
 from . import linalg
-from .codes import DEFAULT_WORD_BUDGET, LinearCode, message_blocks
+from .codes import DEFAULT_WORD_BUDGET, LinearCode, weight_blocks
 from .errors import MismatchError, TooLargeError, ZeroCodeError
 
 
 def _direct_distribution(C: LinearCode, budget: int) -> np.ndarray:
     hist = np.zeros(C.n + 1, dtype=np.int64)
-    for block in message_blocks(C.field.q, C.k, budget):
-        words = linalg.matmul(C.field, block, C.G)
-        hist += np.bincount(np.count_nonzero(words, axis=1), minlength=C.n + 1)
+    for w in weight_blocks(C.field, C.G, budget):
+        hist += np.bincount(w, minlength=C.n + 1)
     return hist
 
 
@@ -41,7 +47,9 @@ def _macwilliams(dual_hist, n: int, q: int) -> np.ndarray:
                 if w - j <= n - u:
                     kw += (-1) ** j * (q - 1) ** (w - j) * math.comb(u, j) * math.comb(n - u, w - j)
             s += B[u] * kw
-        assert s % size == 0 and s >= 0
+        # explicit, not an assert: this guards exactness under python -O too
+        if s % size != 0 or s < 0:
+            raise AssertionError(f"MacWilliams gives A_{w} = {s}/{size}: not the distribution of a dual code")
         A.append(s // size)
     return np.array(A, dtype=np.int64)
 
@@ -49,8 +57,10 @@ def _macwilliams(dual_hist, n: int, q: int) -> np.ndarray:
 def weight_distribution(C: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Histogram of codeword weights, entry w counting words of weight w.
 
-    Enumerates whichever of the code and its dual is smaller; the high-rate
-    side is recovered exactly through the MacWilliams identity.
+    Enumerates whichever of the code and its dual is smaller, with the
+    meet-in-the-middle :func:`codes.weight_blocks` (popcounts of bit-packed
+    words over GF(2)); the high-rate side is recovered exactly through the
+    MacWilliams identity.
     """
     q = C.field.q
     if C.k <= C.n - C.k or q ** (C.n - C.k) > budget:
@@ -61,9 +71,11 @@ def weight_distribution(C: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> np.
 def dmin(C: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> int:
     """Exact minimum nonzero weight.
 
-    Low-rate codes are enumerated directly (the rref generator makes the
-    messages information-set encodings, and enumeration early-exits on a
-    weight-1 word); high-rate codes go through the dual distribution.
+    Low-rate codes are enumerated directly with the meet-in-the-middle
+    :func:`codes.weight_blocks` (popcounts of bit-packed words over GF(2));
+    the rref generator makes the messages information-set encodings, and
+    enumeration early-exits on a weight-1 word.  High-rate codes go through
+    the dual distribution.
     """
     if C.k == 0:
         raise ZeroCodeError("minimum distance of the zero code")
@@ -72,10 +84,9 @@ def dmin(C: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> int:
         hist = weight_distribution(C, budget)
         return int(np.nonzero(hist[1:])[0][0]) + 1
     best = C.n + 1
-    for block in message_blocks(q, C.k, budget):
-        words = linalg.matmul(C.field, block, C.G)
-        w = np.count_nonzero(words, axis=1)
-        w = w[np.any(block != 0, axis=1)]
+    for i, w in enumerate(weight_blocks(C.field, C.G, budget)):
+        if i == 0:
+            w = w[1:]  # message 0, the zero word, is the first word of the first block
         if w.size:
             best = min(best, int(w.min()))
         if best == 1:
@@ -109,7 +120,8 @@ def generalized_weights(C: LinearCode, limit: int = 20):
             found = max(found, min(dim_cs, C.k))
         if found == C.k:
             break
-    assert all(w is not None for w in out)
+    if None in out:
+        raise AssertionError("support search ended before the whole hierarchy was found")
     return out
 
 

@@ -258,6 +258,22 @@ def test_missing_input_file_exit_2(capsys, tmp_path):
     assert err.count("\n") == 1 and "nonexistent.code" in err
 
 
+def test_huge_size_line_exit_2_without_allocating(capsys, tmp_path):
+    # n = 2*10^9 with a one-entry row: the row is rejected before any array
+    # of the declared size exists (it would need 14.9 GiB)
+    path = tmp_path / "huge.code"
+    path.write_text("2^1/3\n2000000000 1\n1\n")
+    code, _, err = run_cli(capsys, "weights", "--in", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "expected 2000000000 entries, got 1" in err
+    # k = 2*10^9 declared, one row present
+    path.write_text("2^1/3\n1 2000000000\n1\n")
+    code, _, err = run_cli(capsys, "weights", "--in", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and "expected 2000000000 generator rows" in err
+
+
 def test_partition_missing_blocks_exit_2(capsys):
     code, _, err = run_cli(capsys, "seq", "--family", "partition:q=2,n=3", "--t", "2")
     assert code == 2

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurpow.codes import LinearCode, Partition, trace_descent
 from schurpow.errors import MismatchError, TooLargeError, ZeroCodeError
@@ -406,6 +408,34 @@ def test_semiring_laws():
             assert A.star(B.plus(C)) == A.star(B).plus(A.star(C))
             t, tp = int(rng.integers(0, 3)), int(rng.integers(0, 3))
             assert A.power(t).star(A.power(tp)) == A.power(t + tp)
+
+
+# Property tests of the star-product laws: derandomized, so every run draws
+# the same examples.
+
+STAR_FIELDS = [F2, F3, F4, GF(3, 2)]
+
+
+@st.composite
+def _codes_of_one_space(draw, count):
+    F = draw(st.sampled_from(STAR_FIELDS))
+    n = draw(st.integers(1, 6))
+    codes = []
+    for _ in range(count):
+        k = draw(st.integers(0, n))
+        rows = draw(st.lists(st.integers(0, F.q - 1), min_size=k * n, max_size=k * n))
+        codes.append(LinearCode(F, n, np.array(rows, dtype=np.int64).reshape(k, n)))
+    return codes
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_codes_of_one_space(3))
+def test_property_star_laws(codes):
+    A, B, C = codes
+    assert A.star(B) == B.star(A)
+    assert A.star(B).star(C) == A.star(B.star(C))
+    assert A.star(LinearCode.repetition(A.field, A.n)) == A
+    assert A.star(B).k <= min(A.n, A.k * B.k)
 
 
 def test_support_of_product():

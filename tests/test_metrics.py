@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from schurpow.codes import LinearCode
+import schurpow
+from schurpow import linalg
+from schurpow.codes import LinearCode, message_blocks, word_blocks
 from schurpow.errors import TooLargeError, ZeroCodeError
 from schurpow.families import full_space, parity, random_code, reed_solomon, repetition
 from schurpow.fields import GF, SubfieldEmbedding
@@ -13,11 +19,14 @@ from schurpow.metrics import (
     dmin,
     dmin_rank,
     generalized_weights,
+    _direct_distribution,
+    _macwilliams,
     intersection_number,
     weight_distribution,
 )
 
 F2 = GF(2)
+F3 = GF(3)
 
 
 def brute_dmin(C):
@@ -70,8 +79,6 @@ def test_weight_distribution_parity():
 
 
 def test_macwilliams_transform_matches_direct():
-    from schurpow.metrics import _direct_distribution, _macwilliams
-
     rng = np.random.default_rng(131)
     for _ in range(25):
         q = int(rng.choice([2, 3, 4]))
@@ -207,3 +214,123 @@ def test_weight_hierarchy_monotone_under_powers():
 def test_generalized_weights_too_large():
     with pytest.raises(TooLargeError):
         generalized_weights(repetition(2, 21))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration engine against the enumeration it replaced: every message
+# block times G, one field multiply and add per generator row and word.
+# ---------------------------------------------------------------------------
+
+
+def _reference_words(C):
+    msgs = np.concatenate(list(message_blocks(C.field.q, C.k)))
+    return msgs, linalg.matmul(C.field, msgs, C.G)
+
+
+def _reference_projective(msgs, words):
+    lead = np.full(len(msgs), -1)
+    for i in range(msgs.shape[1] - 1, -1, -1):
+        lead = np.where(msgs[:, i] != 0, i, lead)
+    mask = np.zeros(len(msgs), dtype=bool)
+    for i in range(msgs.shape[1]):
+        mask |= (lead == i) & (msgs[:, i] == 1)
+    return words[mask]
+
+
+def _check_engine(C):
+    msgs, words = _reference_words(C)
+    got = C.words()
+    assert got.dtype == np.int64 and np.array_equal(got, words)
+    proj = C.projective_words()
+    assert proj.dtype == np.int64 and np.array_equal(proj, _reference_projective(msgs, words))
+    weights = np.count_nonzero(words, axis=1)
+    hist = np.bincount(weights, minlength=C.n + 1)
+    assert np.array_equal(_direct_distribution(C, 1 << 24), hist)
+    assert np.array_equal(weight_distribution(C), hist)
+    if C.field.q ** (C.n - C.k) <= 1 << 16:
+        via_dual = _macwilliams(_direct_distribution(C.dual(), 1 << 24), C.n, C.field.q)
+        assert np.array_equal(via_dual, hist)
+    if C.k:
+        assert dmin(C) == int(weights[1:].min())
+
+
+ENGINE_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
+
+
+@pytest.mark.parametrize("F", ENGINE_FIELDS, ids=str)
+def test_engine_matches_reference_enumeration(F):
+    rng = np.random.default_rng([20261018, F.q])
+    # lo = the number of rows whose combinations fit one 2^14-word block;
+    # k = lo + 1 makes the engine yield several blocks
+    lo = max(i for i in range(1, 15) if F.q**i <= 1 << 14)
+    shapes = [(1, 0), (1, 1), (6, 0), (6, 3), (5, 4), (9, 3), (lo + 3, lo + 1)]
+    shapes += [(int(n), int(rng.integers(0, min(n, 5) + 1))) for n in rng.integers(2, 11, size=6)]
+    for n, k in shapes:
+        _check_engine(random_code(F, n, k, rng))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_engine_gf2_packing_edges(n):
+    rng = np.random.default_rng([20261018, n])
+    for k in sorted({0, 1, min(n, 7), min(n, 15)}):
+        _check_engine(random_code(F2, n, k, rng))
+
+
+def test_word_blocks_bounded_by_chunk():
+    # small chunks force the recursion on the high rows and, once q > chunk,
+    # the split of one row's multiples
+    rng = np.random.default_rng(20261019)
+    for F in ENGINE_FIELDS + [GF(5), GF(2, 8)]:
+        C = random_code(F, 5, 3 if F.q <= 9 else 2, rng)
+        _, words = _reference_words(C)
+        for chunk in (1, 2, 4, 9, 10, 100, 1 << 14):
+            blocks = list(word_blocks(F, C.G, chunk=chunk))
+            assert max(len(b) for b in blocks) <= chunk
+            assert np.array_equal(np.concatenate(blocks), words)
+
+
+def test_word_blocks_gf256_blocks_stay_small():
+    F = GF(2, 8)
+    C = random_code(F, 4, 3, 20261020)
+    sizes = set()
+    for i, block in enumerate(word_blocks(F, C.G)):
+        sizes.add(len(block))
+        if i == 300:
+            break
+    assert sizes == {256}
+
+
+def test_enumeration_budget_checked_before_allocation():
+    C = random_code(F3, 20, 4, 20261021)
+    with pytest.raises(TooLargeError):
+        next(word_blocks(F3, C.G, budget=10))
+    with pytest.raises(TooLargeError):
+        next(word_blocks(F3, C.G, budget=80))
+    assert len(C.words(budget=81)) == 81
+    for call in (lambda: dmin(C, budget=10), lambda: C.words(budget=10), lambda: weight_distribution(C, budget=10)):
+        with pytest.raises(TooLargeError):
+            call()
+    big = random_code(F2, 100, 40, 20261022)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            dmin(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # one block of 2^14 words, two uint64 each, is 256 KiB
+
+
+def test_macwilliams_guard_survives_optimize_flag():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schurpow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # no binary code of length 3 has four words of weight 3
+    script = (
+        "try:\n    assert False\nexcept AssertionError:\n    raise SystemExit('asserts are on')\n"
+        "from schurpow.metrics import _macwilliams\n"
+        "try:\n    _macwilliams([1, 0, 0, 3], 3, 2)\n"
+        "except AssertionError as exc:\n    print('raised', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised")
